@@ -3,11 +3,44 @@
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
+from typing import Dict, Optional
 
 from repro.bench.harness import available_experiments, run_experiment
+
+
+def _git(*arguments: str) -> Optional[str]:
+    try:
+        completed = subprocess.run(
+            ["git", *arguments],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return completed.stdout.strip()
+
+
+def provenance() -> Dict[str, object]:
+    """Where a BENCH_*.json came from: the code revision (and whether
+    tracked files differed from it), the interpreter, the machine's CPU
+    count and the date of the run."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "date": datetime.date.today().isoformat(),
+    }
 
 
 def main(argv=None) -> int:
@@ -60,6 +93,7 @@ def main(argv=None) -> int:
         payload = report.data.get("json")
         if payload is not None:
             arguments.json_dir.mkdir(parents=True, exist_ok=True)
+            payload["provenance"] = provenance()
             json_name = report.data.get("json_name", experiment_id)
             target = arguments.json_dir / f"BENCH_{json_name}.json"
             target.write_text(json.dumps(payload, indent=2, sort_keys=True))

@@ -1795,11 +1795,12 @@ def parallel_ops(
     * ``colocated_group`` — GROUP BY on the hash-partitioning column;
       aggregation pushes below the gather, one operator per partition.
 
-    The recorded speedups are simulated I/O and estimated plan cost
-    (the cost model divides per-stream CPU across workers). Wall clock
-    is reported too but is *not* the claim: partition workers are
-    Python threads sharing the GIL, so CPU-bound stages do not speed
-    up in wall time here.
+    Exchanges pull their partition streams serially in the caller's
+    thread, so wall clock measures what the partitioned plan shapes
+    (pruning, merge instead of sort, per-partition grouping) save on
+    their own. Simulated I/O and estimated plan cost are recorded
+    beside it; the estimate still divides per-stream CPU by
+    ``CostModel.PARALLEL_WORKERS``, so it overstates the gain.
     """
     scale_factor = max(float(scale_factor), _PARALLEL_SCALE_FLOOR)
     timing_runs = max(1, min(runs, 3))
@@ -1939,9 +1940,9 @@ def parallel_ops(
         "(ordered queries compared in order)"
     )
     report.add_note(
-        "speedups are simulated I/O and estimated cost; wall clock is "
-        "reported honestly but partition workers share the GIL, so "
-        "CPU-bound stages show no wall-time win in this engine"
+        "exchanges run serially in the caller's thread; estimated cost "
+        "still divides per-stream CPU by PARALLEL_WORKERS, so its "
+        "speedup overstates the wall-clock one"
     )
     report.data["json"] = payload
     return report

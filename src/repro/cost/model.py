@@ -309,21 +309,25 @@ class CostModel:
     # Parallelism: exchanges and per-partition work
     # ------------------------------------------------------------------
 
-    # Modeled workers draining partition streams concurrently. CPU on a
-    # parallel subtree divides by min(streams, PARALLEL_WORKERS); I/O
-    # never does — the simulated disk is one device.
+    # CPU on a per-partition subtree divides by min(streams,
+    # PARALLEL_WORKERS); I/O never does. Exchanges run their partition
+    # streams serially, so the divisor no longer models threads. It
+    # stays only because colocated GROUP BY and partition-wise joins
+    # are generated solely from an input rooted at a gather, and a
+    # gather survives pruning only through this discount: without it
+    # neither plan shape is reachable.
     PARALLEL_WORKERS = 4
-    # Per-row transfer cost through an exchange's queues.
+    # Per-row cost of passing a row through an exchange.
     EXCHANGE_ROW_MS = 0.0005
 
     def parallel_input(self, cost: Cost, streams: int) -> Cost:
-        """Cost of a subtree when its partitions run on the worker pool:
-        CPU shrinks by the effective parallelism, I/O stays serial."""
+        """Cost of a per-partition subtree under an exchange: CPU
+        shrinks by the modeled divisor, I/O stays serial."""
         workers = max(1, min(streams, self.PARALLEL_WORKERS))
         return Cost(cost.io_ms, cost.cpu_ms / workers)
 
     def exchange_gather(self, rows: float, streams: int) -> Cost:
-        """Unordered gather: move every row through a queue."""
+        """Unordered gather: pass every row through once."""
         return Cost(0.0, max(0.0, rows) * self.EXCHANGE_ROW_MS)
 
     def exchange_merge(self, rows: float, streams: int) -> Cost:

@@ -53,10 +53,6 @@ class OrderError(ReproError):
     """Raised for illegal operations on order specifications."""
 
 
-class PropertyError(ReproError):
-    """Raised when plan properties are combined inconsistently."""
-
-
 class OptimizerError(ReproError):
     """Raised when the optimizer cannot produce a plan."""
 

@@ -59,12 +59,6 @@ class NodeObservation:
     # actual_rows.
     ndv_target: Optional[Tuple[str, Tuple[str, ...]]] = None
 
-    @property
-    def observed_selectivity(self) -> Optional[float]:
-        if self.input_rows <= 0:
-            return None
-        return self.actual_rows / self.input_rows
-
 
 def _alias_tables(root: PlanNode) -> Dict[str, str]:
     """alias -> base table name for every scan in the plan."""

@@ -66,7 +66,7 @@ def enumerate_joins(planner: PlannerContext) -> List[PlanNode]:
             subset = frozenset(subset_tuple)
             planner.stats.subsets_expanded += 1
             candidates: List[PlanNode] = []
-            for inner_alias in subset:
+            for inner_alias in subset_tuple:
                 outer_set = subset - {inner_alias}
                 outer_plans = best.get(outer_set, ())
                 if not outer_plans:

@@ -120,7 +120,7 @@ def partitioned_access_paths(
       predicates pin the partition key — charges exactly the pages of
       the surviving partitions;
     * a **gather exchange** over per-partition scans (filters pushed
-      below the exchange, so the workers do the filtering);
+      below the exchange, so each partition stream filters its own rows);
     * a **merge exchange** over per-partition local-index scans for
       every index: each partition delivers the index order, the merge
       preserves it globally — an ordered stream with zero sorts.

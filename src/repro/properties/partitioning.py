@@ -1,4 +1,4 @@
-"""The partitioning property: how a stream divides across workers.
+"""The partitioning property: how a stream divides into partition streams.
 
 The paper's machinery tracks *order* through a plan; partitioning is
 the sibling physical property for scale-out plans. A stream is either

@@ -180,20 +180,6 @@ class PlanCache:
             count("service.cache.invalidations", len(stale))
             return len(stale)
 
-    def invalidate_config(self, config_key: Tuple[Any, ...]) -> int:
-        """Drop entries planned under a different optimizer config."""
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if entry.config_key != config_key
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            count("service.cache.invalidations", len(stale))
-            return len(stale)
-
     def clear(self) -> int:
         """Drop everything (counted as invalidations)."""
         with self._lock:

@@ -68,7 +68,7 @@ from repro.errors import (
 )
 from repro.executor.context import CancelToken
 from repro.optimizer import OptimizerConfig
-from repro.service.cache import PlanCache, config_fingerprint
+from repro.service.cache import PlanCache
 from repro.storage import Database
 
 _SHUTDOWN = object()
@@ -429,16 +429,6 @@ class QueryService:
             self._tokens.pop(future, None)
 
     # ------------------------------------------------------------------
-    # Lifecycle / introspection
-    # ------------------------------------------------------------------
-
-    def reconfigure(self, config: OptimizerConfig) -> int:
-        """Change the default optimizer config; drops now-mismatched
-        cache entries. Returns how many entries were invalidated."""
-        self.config = config
-        return self.cache.invalidate_config(config_fingerprint(config))
-
-    # ------------------------------------------------------------------
     # Workload feedback
     # ------------------------------------------------------------------
 
@@ -477,6 +467,10 @@ class QueryService:
     def feedback_errors(self) -> int:
         with self._lock:
             return self._feedback_errors
+
+    # ------------------------------------------------------------------
+    # Lifecycle / introspection
+    # ------------------------------------------------------------------
 
     def stats(self) -> ServiceStats:
         with self._lock:

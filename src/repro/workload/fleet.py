@@ -75,9 +75,6 @@ class RoundResult:
     def qerror(self) -> QErrorSummary:
         return summarize(self.observations())
 
-    def total_simulated_io_ms(self) -> float:
-        return sum(run.simulated_io_ms for run in self.runs)
-
 
 @dataclass
 class FeedbackReport:

@@ -3,41 +3,12 @@
 from __future__ import annotations
 
 import random
-import threading
-import time
 
 import pytest
 
 from repro import Column, Database, Index, TableSchema
 from repro.catalog import hash_spec, range_spec
 from repro.sqltypes import DATE, INTEGER, decimal_type, varchar
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_exchange_workers():
-    """Exchange teardown must join every ``repro-exch-*`` worker.
-
-    The exchange operators promise no stranded partition workers on any
-    exit path — success, error, cancellation, or an abandoned
-    generator. This suite-wide guard fails any test that returns while
-    one is still alive (a short grace window absorbs threads mid-exit).
-    """
-    yield
-    deadline = time.monotonic() + 5.0
-    while True:
-        leaked = [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("repro-exch-") and thread.is_alive()
-        ]
-        if not leaked:
-            return
-        if time.monotonic() > deadline:
-            pytest.fail(
-                "exchange worker threads leaked past the test: "
-                + ", ".join(thread.name for thread in leaked)
-            )
-        time.sleep(0.01)
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """CLI entry point and API-surface coverage."""
 
+import datetime
+import platform
+
 import pytest
 
 from repro import Column, Database, TableSchema, run_query
-from repro.bench.__main__ import main as bench_main
+from repro.bench.__main__ import main as bench_main, provenance
 from repro.cost.model import Cost
 from repro.sqltypes import INTEGER
 
@@ -25,6 +28,15 @@ class TestBenchCli:
 
         with pytest.raises(BenchmarkError):
             bench_main(["nope"])
+
+    def test_provenance_names_revision_interpreter_machine_and_date(self):
+        record = provenance()
+        assert set(record) == {
+            "git_sha", "git_dirty", "python", "cpu_count", "date"
+        }
+        assert record["python"] == platform.python_version()
+        assert record["cpu_count"] >= 1
+        datetime.date.fromisoformat(record["date"])
 
 
 class TestQueryResultSurface:

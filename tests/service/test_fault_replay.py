@@ -99,10 +99,11 @@ PARTITIONED_SEED = 8  # this seed hash-partitions both fact and child
 def per_token_maxima(service, queries):
     """Per statement: the checkpoint count of its busiest token.
 
-    A partitioned plan runs several tokens at once (the statement's own
-    plus one per exchange worker); faults trip each token at its *own*
-    Nth checkpoint, so the statement fails iff its busiest token
-    reaches the threshold — which is what this measures.
+    Faults trip each token at its *own* Nth checkpoint, so a statement
+    fails iff its busiest token reaches the threshold — which is what
+    this measures. Exchanges pull their partitions under the
+    statement's own token, so a partitioned plan counts every
+    partition stream's checkpoints on that one token.
     """
     from collections import Counter
 
@@ -124,10 +125,10 @@ def per_token_maxima(service, queries):
 
 
 def test_partitioned_corpus_worker_faults_are_typed_and_clean():
-    """Corpus replay over partitioned tables: timing out individual
-    partition workers surfaces the typed error at the gather point,
-    strands no threads (suite-wide autouse guard), and leaves
-    fault-free statements byte-identical."""
+    """Corpus replay over partitioned tables: a timeout tripped while
+    an exchange drains its partition streams surfaces as the typed
+    error, the service keeps every worker, and fault-free statements
+    stay byte-identical."""
     schema = generate_schema(PARTITIONED_SEED)
     assert any(t.partitioning is not None for t in schema.tables)
     generator = QueryGenerator(schema, PARTITIONED_SEED)
